@@ -15,8 +15,8 @@ use morphstream_workloads::{
 };
 
 use crate::harness::{
-    banner, bench_engine_config, bench_sl_config, bench_threads, drive, run_sl_on, Scale,
-    SystemReport,
+    banner, bench_engine_config, bench_sl_config, bench_threads, drive, run_sl_on, write_json_rows,
+    Scale, SystemReport,
 };
 
 fn gs_config(scale: Scale) -> (WorkloadConfig, usize) {
@@ -413,12 +413,7 @@ pub mod fig16 {
         rows: &[Fig16Row],
     ) -> std::io::Result<()> {
         let body: Vec<String> = rows.iter().map(Fig16Row::json).collect();
-        let doc = format!(
-            "{{\"bench\":\"fig16_overhead\",\"scale\":\"{}\",\"rows\":[\n  {}\n]}}\n",
-            scale.name(),
-            body.join(",\n  ")
-        );
-        std::fs::write(path, doc)
+        write_json_rows(path, "fig16_overhead", scale, &body)
     }
 
     /// Per-system breakdown fractions, peak memory and stage timings. The
@@ -526,13 +521,35 @@ pub mod fig17 {
         rows
     }
 
-    /// Print the figure.
-    pub fn run(scale: Scale) {
+    /// Print the figure and return its rows.
+    pub fn run(scale: Scale) -> Vec<(String, f64, f64)> {
         banner("Figure 17", "clean-up impact: throughput and memory");
         println!("{:<16} {:>12} {:>12}", "config", "k events/s", "peak MiB");
-        for (label, kps, mib) in measure(scale) {
+        let rows = measure(scale);
+        for (label, kps, mib) in &rows {
             println!("{label:<16} {kps:>12.2} {mib:>12.2}");
         }
+        rows
+    }
+
+    /// Write the measured rows as one JSON document (the CI smoke-bench
+    /// uploads this as `BENCH_fig17_smoke.json`, a reclamation canary).
+    pub fn write_json(
+        path: &std::path::Path,
+        scale: Scale,
+        rows: &[(String, f64, f64)],
+    ) -> std::io::Result<()> {
+        let body: Vec<String> = rows
+            .iter()
+            .map(|(label, kps, mib)| {
+                morphstream_common::json::JsonObject::new()
+                    .string("config", label)
+                    .fixed("k_events_per_second", *kps, 3)
+                    .fixed("peak_mib", *mib, 3)
+                    .build()
+            })
+            .collect();
+        write_json_rows(path, "fig17_cleanup", scale, &body)
     }
 }
 
@@ -1132,12 +1149,7 @@ pub mod fig_topology {
         rows: &[TopologyRow],
     ) -> std::io::Result<()> {
         let body: Vec<String> = rows.iter().map(TopologyRow::json).collect();
-        let doc = format!(
-            "{{\"bench\":\"fig_topology\",\"scale\":\"{}\",\"rows\":[\n  {}\n]}}\n",
-            scale.name(),
-            body.join(",\n  ")
-        );
-        std::fs::write(path, doc)
+        write_json_rows(path, "fig_topology", scale, &body)
     }
 
     /// Run one topology rendition and return `(rows, wall_s, digest)`.

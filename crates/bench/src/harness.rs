@@ -229,6 +229,17 @@ pub fn write_json(
     reports: &[SystemReport],
 ) -> std::io::Result<()> {
     let rows: Vec<String> = reports.iter().map(SystemReport::json).collect();
+    write_json_rows(path, bench, scale, &rows)
+}
+
+/// Write already-rendered JSON `rows` to `path` as one document tagged with
+/// the benchmark name and scale — the shape every `BENCH_*.json` shares.
+pub fn write_json_rows(
+    path: &std::path::Path,
+    bench: &str,
+    scale: Scale,
+    rows: &[String],
+) -> std::io::Result<()> {
     let doc = format!(
         "{{\"bench\":\"{}\",\"scale\":\"{}\",\"rows\":[\n  {}\n]}}\n",
         json_escape(bench),

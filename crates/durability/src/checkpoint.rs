@@ -335,13 +335,11 @@ impl CheckpointSink for CheckpointBuilder {
         let mut tables = Vec::with_capacity(dirty.len());
         for id in dirty {
             let Ok(table) = store.table(id) else { continue };
-            let mut entries: Vec<(Key, Value)> = table.snapshot_latest().into_iter().collect();
-            entries.sort_unstable_by_key(|(key, _)| *key);
             tables.push(TableSnapshot {
                 name: table.name().to_string(),
                 default_value: table.default_value(),
                 auto_create: table.is_auto_create(),
-                entries,
+                entries: table.snapshot_latest_sorted(),
             });
         }
         self.sections.push(StoreSection {

@@ -173,6 +173,9 @@ impl StateStore {
     /// every operator stamps its own timestamp domain, so a watermark is only
     /// meaningful for the tables *that operator writes* — truncating the
     /// whole store with it could collapse versions a sibling still needs.
+    ///
+    /// Cost: proportional to the keys of `tables` written since their last
+    /// reclamation, not to their size (see [`MvTable::truncate_before`]).
     pub fn truncate_tables_before(&self, tables: &[TableId], ts: Timestamp) {
         for id in tables {
             if let Ok(table) = self.table(*id) {
@@ -200,6 +203,9 @@ impl StateStore {
     }
 
     /// Approximate bytes retained across all tables.
+    ///
+    /// Cost: O(tables × shards); no version chain is walked (see
+    /// [`MvTable::bytes_retained`]).
     pub fn bytes_retained(&self) -> u64 {
         self.inner
             .tables
@@ -246,10 +252,8 @@ impl StateStore {
     pub fn state_digest(&self) -> u64 {
         let mut hash = morphstream_common::hash::Fnv1a::new();
         for table in self.inner.tables.read().iter() {
-            let mut entries: Vec<(Key, Value)> = table.snapshot_latest().into_iter().collect();
-            entries.sort_unstable_by_key(|(k, _)| *k);
             hash.update(&table.id().0.to_le_bytes());
-            for (key, value) in entries {
+            for (key, value) in table.snapshot_latest_sorted() {
                 hash.update(&key.to_le_bytes());
                 hash.update(&value.to_le_bytes());
             }

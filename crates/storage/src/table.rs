@@ -14,9 +14,31 @@ use crate::version::{Version, VersionChain, WriterId};
 /// worker-thread counts so that uncontended keys rarely share a lock.
 const SHARDS: usize = 64;
 
+/// What one key costs in [`Shard::bytes`] on top of its chain's versions.
+const KEY_BYTES: u64 = std::mem::size_of::<Key>() as u64;
+
 #[derive(Default)]
 struct Shard {
     chains: HashMap<Key, VersionChain>,
+    /// Keys whose chain may hold more than one version: the only chains
+    /// [`MvTable::truncate_before`] can shorten. A write pushes its key when
+    /// the chain reaches exactly two versions, so between reclamations the
+    /// list may carry duplicates and keys a rollback or seed shrank or
+    /// removed; truncation sorts, dedups and compacts it. Unmaintained once
+    /// the table is pinned.
+    multi: Vec<Key>,
+    /// Σ over `chains` of `VersionChain::bytes_retained() + KEY_BYTES`, kept
+    /// current under the shard's write lock so that
+    /// [`MvTable::bytes_retained`] never walks the chains.
+    bytes: u64,
+}
+
+impl Shard {
+    /// Re-account a chain whose retained bytes went from `before` to `after`.
+    #[inline]
+    fn rebytes(&mut self, before: u64, after: u64) {
+        self.bytes = self.bytes - before + after;
+    }
 }
 
 /// A multi-version table: one version chain per key, sharded for concurrent
@@ -74,7 +96,12 @@ impl MvTable {
     /// only the newest version at the reclaiming watermark, which would
     /// silently empty trailing windows.
     pub fn pin(&self) {
-        self.pinned.store(true, Ordering::Relaxed);
+        if !self.pinned.swap(true, Ordering::Relaxed) {
+            // Pinned tables never truncate: drop the reclamation worklists.
+            for shard in &self.shards {
+                shard.write().multi = Vec::new();
+            }
+        }
     }
 
     /// Whether this table is exempt from truncation.
@@ -123,10 +150,15 @@ impl MvTable {
     }
 
     #[inline]
-    fn shard_for(&self, key: Key) -> &RwLock<Shard> {
+    fn shard_index(key: Key) -> usize {
         // Fibonacci hashing spreads dense key ranges across shards.
         let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize;
-        &self.shards[h % SHARDS]
+        h % SHARDS
+    }
+
+    #[inline]
+    fn shard_for(&self, key: Key) -> &RwLock<Shard> {
+        &self.shards[Self::shard_index(key)]
     }
 
     fn state_ref(&self, key: Key) -> StateRef {
@@ -135,13 +167,30 @@ impl MvTable {
 
     /// Pre-allocate `keys` with the table's default value.
     pub fn preallocate<I: IntoIterator<Item = Key>>(&self, keys: I) {
-        let mut created = 0u64;
+        // Bucket by shard so each shard lock is taken once and its map grows
+        // once; every new chain is identical, so its bytes are one constant.
+        let mut buckets: Vec<Vec<Key>> = vec![Vec::new(); SHARDS];
         for key in keys {
-            let mut shard = self.shard_for(key).write();
-            shard.chains.entry(key).or_insert_with(|| {
-                created += 1;
-                VersionChain::with_initial(self.default_value)
-            });
+            buckets[Self::shard_index(key)].push(key);
+        }
+        let initial = VersionChain::with_initial(self.default_value);
+        let chain_bytes = initial.bytes_retained() + KEY_BYTES;
+        let mut created = 0u64;
+        for (shard, bucket) in self.shards.iter().zip(buckets) {
+            if bucket.is_empty() {
+                continue;
+            }
+            let mut shard = shard.write();
+            shard.chains.reserve(bucket.len());
+            let mut fresh = 0u64;
+            for key in bucket {
+                shard.chains.entry(key).or_insert_with(|| {
+                    fresh += 1;
+                    initial.clone()
+                });
+            }
+            shard.bytes += fresh * chain_bytes;
+            created += fresh;
         }
         self.version_count.fetch_add(created, Ordering::Relaxed);
         if created > 0 {
@@ -157,16 +206,17 @@ impl MvTable {
     /// Set the value of `key` at timestamp 0, creating it if necessary. Used
     /// to seed initial balances before a run.
     pub fn seed(&self, key: Key, value: Value) {
+        let chain = VersionChain::with_initial(value);
+        let added = chain.bytes_retained() + KEY_BYTES;
         let mut shard = self.shard_for(key).write();
-        let prev = shard.chains.insert(key, VersionChain::with_initial(value));
-        if prev.is_none() {
-            self.version_count.fetch_add(1, Ordering::Relaxed);
-        } else if let Some(prev) = prev {
-            // replacing an existing chain: adjust the version count.
+        shard.bytes += added;
+        if let Some(prev) = shard.chains.insert(key, chain) {
+            // replacing an existing chain: adjust the counters.
+            shard.bytes -= prev.bytes_retained() + KEY_BYTES;
             let removed = prev.len() as u64;
             self.version_count.fetch_sub(removed, Ordering::Relaxed);
-            self.version_count.fetch_add(1, Ordering::Relaxed);
         }
+        self.version_count.fetch_add(1, Ordering::Relaxed);
         self.mark_dirty();
     }
 
@@ -229,15 +279,21 @@ impl MvTable {
         writer: WriterId,
         value: Value,
     ) -> Result<()> {
-        let mut shard = self.shard_for(key).write();
-        let chain = match shard.chains.get_mut(&key) {
-            Some(chain) => chain,
+        let mut guard = self.shard_for(key).write();
+        let shard = &mut *guard;
+        let (chain, before) = match shard.chains.get_mut(&key) {
+            Some(chain) => {
+                let before = chain.bytes_retained();
+                (chain, before)
+            }
             None if self.auto_create => {
                 self.version_count.fetch_add(1, Ordering::Relaxed);
-                shard
+                shard.bytes += KEY_BYTES;
+                let chain = shard
                     .chains
                     .entry(key)
-                    .or_insert_with(|| VersionChain::implicit(self.default_value))
+                    .or_insert_with(|| VersionChain::implicit(self.default_value));
+                (chain, 0)
             }
             None => {
                 return Err(MorphError::UnknownKey {
@@ -251,6 +307,11 @@ impl MvTable {
             writer,
             value,
         });
+        let (after, len) = (chain.bytes_retained(), chain.len());
+        shard.rebytes(before, after);
+        if len == 2 && !self.is_pinned() {
+            shard.multi.push(key);
+        }
         self.version_count.fetch_add(1, Ordering::Relaxed);
         self.mark_dirty();
         Ok(())
@@ -277,15 +338,21 @@ impl MvTable {
     /// removed. A key that only exists because a rolled-back write created
     /// it is removed with its implicit default version.
     fn rollback(&self, key: Key, remove: impl FnOnce(&mut VersionChain) -> usize) -> usize {
-        let mut shard = self.shard_for(key).write();
+        let mut guard = self.shard_for(key).write();
+        let shard = &mut *guard;
         let Some(chain) = shard.chains.get_mut(&key) else {
             return 0;
         };
+        let before = chain.bytes_retained();
         let removed = remove(chain);
         let mut dropped = removed as u64;
         if removed > 0 && chain.only_implicit() {
             shard.chains.remove(&key);
+            shard.bytes -= before + KEY_BYTES;
             dropped += 1;
+        } else {
+            let after = chain.bytes_retained();
+            shard.rebytes(before, after);
         }
         self.version_count.fetch_sub(dropped, Ordering::Relaxed);
         removed
@@ -306,20 +373,42 @@ impl MvTable {
     /// Drop versions older than the newest one at or before `ts`, for every
     /// key (the after-batch reclamation toggle). A no-op on pinned tables
     /// (see [`MvTable::pin`]).
+    ///
+    /// Cost: proportional to the keys written since the last reclamation
+    /// (plus one lock per shard), not to the table size — only keys whose
+    /// chain reached two versions are visited.
     pub fn truncate_before(&self, ts: Timestamp) {
         if self.is_pinned() {
             return;
         }
+        let mut removed = 0u64;
         for shard in &self.shards {
-            let mut shard = shard.write();
-            for chain in shard.chains.values_mut() {
-                let before = chain.len() as u64;
-                chain.truncate_before(ts);
-                let removed = before - chain.len() as u64;
-                if removed > 0 {
-                    self.version_count.fetch_sub(removed, Ordering::Relaxed);
-                }
+            let mut guard = shard.write();
+            let Shard {
+                chains,
+                multi,
+                bytes,
+            } = &mut *guard;
+            if multi.is_empty() {
+                continue;
             }
+            multi.sort_unstable();
+            multi.dedup();
+            // Keep only keys still holding several versions (a version newer
+            // than `ts` survives); rolled-back keys are simply gone.
+            multi.retain(|key| {
+                let Some(chain) = chains.get_mut(key) else {
+                    return false;
+                };
+                let (len, before) = (chain.len(), chain.bytes_retained());
+                chain.truncate_before(ts);
+                removed += (len - chain.len()) as u64;
+                *bytes = *bytes - before + chain.bytes_retained();
+                chain.len() > 1
+            });
+        }
+        if removed > 0 {
+            self.version_count.fetch_sub(removed, Ordering::Relaxed);
         }
     }
 
@@ -328,18 +417,12 @@ impl MvTable {
         self.version_count.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes retained by the table's version chains.
+    /// Approximate bytes retained by the table's version chains: the sum of
+    /// every chain's [`VersionChain::bytes_retained`] plus one key each.
+    ///
+    /// Cost: O(shards) — it sums counters kept current by every mutation.
     pub fn bytes_retained(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .chains
-                    .values()
-                    .map(|c| c.bytes_retained() + std::mem::size_of::<Key>() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.read().bytes).sum()
     }
 
     /// Latest value of every key — used by tests to compare engines against a
@@ -354,6 +437,24 @@ impl MvTable {
                 }
             }
         }
+        out
+    }
+
+    /// Latest value of every key, sorted by key — the form checkpoints and
+    /// state digests consume. Fills one pre-sized vector straight from the
+    /// shards instead of going through [`MvTable::snapshot_latest`]'s map.
+    pub fn snapshot_latest_sorted(&self) -> Vec<(Key, Value)> {
+        let mut out = Vec::with_capacity(self.key_count());
+        for shard in &self.shards {
+            let shard = shard.read();
+            out.extend(
+                shard
+                    .chains
+                    .iter()
+                    .filter_map(|(k, chain)| chain.latest().map(|v| (*k, v.value))),
+            );
+        }
+        out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
 }
